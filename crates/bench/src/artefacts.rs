@@ -1,20 +1,18 @@
 //! The artefact registry: one render function per paper artefact, shared
 //! by every front-end so they cannot drift apart.
 //!
-//! Three consumers produce byte-identical output from these functions:
+//! Two consumers produce byte-identical output from these functions:
 //!
-//! * the per-artefact binaries (`table1` … `ext_pumice`) print one render
-//!   each,
-//! * `reproduce` renders the whole set in-process (serially or on its
-//!   `--jobs` work queue) into `results/` / `results-smoke/`,
+//! * `reproduce` renders the whole set or an `--only` subset in-process
+//!   (serially or on its `--jobs` work queue) into `results/` /
+//!   `results-smoke/`, or to stdout with `--stdout`,
 //! * the `serve` daemon renders them on demand behind its
 //!   content-addressed cache, and `mve-client --replay-smoke` writes them
 //!   back to disk — CI diffs that tree against `reproduce --smoke`
 //!   byte-for-byte.
 //!
 //! Render functions take the [`Scale`] and return the artefact's exact
-//! text (tables and the fixed-size Figure 9 sweeps ignore the scale, like
-//! the binaries always have).
+//! text (tables and the fixed-size Figure 9 sweeps ignore the scale).
 
 use std::fmt::Write as _;
 
@@ -79,7 +77,7 @@ pub fn render(name: &str, scale: Scale) -> Option<String> {
 
 /// The help message for a name `render` rejects: a nearest-name
 /// suggestion (the registry's shared edit-distance policy, so
-/// `reproduce --only`, `ext_pumice --kernel` and the serve error replies
+/// `reproduce --only`, `reproduce --kernel` and the serve error replies
 /// all behave the same on typos) plus the sorted vocabulary.
 pub fn unknown_artefact_message(name: &str) -> String {
     let mut names = NAMES;
@@ -91,15 +89,6 @@ pub fn unknown_artefact_message(name: &str) -> String {
         "unknown artefact `{name}`;{suggestion} valid artefacts: {}",
         names.join(", ")
     )
-}
-
-/// The `--test-scale` convention every artefact binary uses.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--test-scale") {
-        Scale::Test
-    } else {
-        Scale::Paper
-    }
 }
 
 /// The full registry, ready to inject into `mve_serve::Server`.

@@ -55,7 +55,7 @@
 //!
 //! Adding `--duration-ms M` (with `--connections N` or `--flood N` for
 //! the connection count) switches to the *open-loop* throughput mode
-//! shared with the `serve_throughput` perf harness: N connections send
+//! (`mve_serve::client::open_loop`): N connections send
 //! the request back-to-back for M milliseconds and one JSON line with
 //! req/s and latency percentiles is printed. `lost` must still be zero or
 //! the run fails.
@@ -129,7 +129,7 @@ fn tail_flag(args: &[String], flag: &str) -> Option<u64> {
 
 /// Sums the exposition's per-class `request_service_us` cumulative
 /// buckets into one raw (de-cumulated) log2 histogram, indexed so bucket
-/// `i` covers `(2^i, 2^(i+1)]` µs — the same convention as
+/// `i` covers `[2^i, 2^(i+1))` µs — the same convention as
 /// `quantile_from_log2_buckets`.
 fn service_buckets(exp: &Exposition) -> [u64; 64] {
     let mut out = [0u64; 64];
@@ -265,9 +265,9 @@ fn watch_stats(client: &mut Client, secs: u64, samples: Option<u64>) -> ! {
                     .zip(buckets0.iter())
                     .map(|(n, o)| n.saturating_sub(*o))
                     .collect();
-                let p99 = quantile_from_log2_buckets(&delta, 0.99);
+                let p99 = quantile_from_log2_buckets(&delta, 0.99, u64::MAX);
                 println!(
-                    "{:8.1} req/s  hit_rate {hit_rate:5.1}%  p99 {p99:8.0} us  (+{dreq:.0} req)",
+                    "{:8.1} req/s  hit_rate {hit_rate:5.1}%  p99 {p99:8} us  (+{dreq:.0} req)",
                     dreq / dt
                 );
             }

@@ -6,7 +6,7 @@
 //! serve [--port N] [--workers N] [--cache-cap N] [--no-stdin-watch]
 //!       [--budget-units N] [--queue-cap N] [--queue-deadline-ms N]
 //!       [--fair-share-pct N] [--idle-timeout-ms N] [--write-stall-ms N]
-//!       [--poller epoll|poll] [--log-level error|warn|info|debug|off]
+//!       [--trace-ring N] [--log-level error|warn|info|debug|off]
 //! ```
 //!
 //! `--log-level` sets the structured NDJSON log threshold on stderr
@@ -60,7 +60,7 @@ fn usage(flag: &str) -> ! {
     eprintln!(
         "usage: serve [--port N] [--workers N] [--cache-cap N] [--no-stdin-watch] \
          [--budget-units N] [--queue-cap N] [--queue-deadline-ms N] [--fair-share-pct N] \
-         [--idle-timeout-ms N] [--write-stall-ms N] [--trace-ring N] [--poller epoll|poll] \
+         [--idle-timeout-ms N] [--write-stall-ms N] [--trace-ring N] \
          [--log-level error|warn|info|debug|off]"
     );
     std::process::exit(2);
@@ -84,28 +84,6 @@ fn apply_log_level(args: &[String]) {
             return;
         }
     }
-}
-
-/// `--poller epoll|poll`, defaulting to `Auto` (which also honors the
-/// `MVE_SERVE_POLLER` environment override).
-fn parse_poller(args: &[String]) -> mve_serve::PollerBackend {
-    for (i, a) in args.iter().enumerate() {
-        let value = a
-            .strip_prefix("--poller=")
-            .map(str::to_owned)
-            .or_else(|| (a == "--poller").then(|| args.get(i + 1).cloned().unwrap_or_default()));
-        if let Some(value) = value {
-            return match value.as_str() {
-                "epoll" => mve_serve::PollerBackend::Epoll,
-                "poll" => mve_serve::PollerBackend::Poll,
-                _ => {
-                    eprintln!("--poller must be `epoll` or `poll`");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    mve_serve::PollerBackend::Auto
 }
 
 /// SIGTERM sets a flag the watcher thread polls (the handler body must be
@@ -158,7 +136,6 @@ fn main() {
             .map_or(defaults.idle_timeout, Duration::from_millis),
         write_stall_timeout: parse_opt_flag(&args, "--write-stall-ms")
             .map_or(defaults.write_stall_timeout, Duration::from_millis),
-        poller: parse_poller(&args),
         trace_ring: {
             let n = parse_flag(&args, "--trace-ring", defaults.trace_ring);
             if !(16..=65536).contains(&n) {

@@ -560,7 +560,7 @@ pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
 
 /// The PUMICE extension study (Section VIII) over `kernels`: baseline vs
 /// per-CB out-of-order dispatch, one fanned-out trace walk per kernel.
-/// Shared by the `ext_pumice` binary (which can filter the kernel set) and
+/// Shared by `reproduce --kernel` (which can filter the kernel set) and
 /// the artefact registry.
 pub fn ext_pumice_report(scale: Scale, kernels: &[Box<dyn Kernel>]) -> String {
     use std::fmt::Write as _;

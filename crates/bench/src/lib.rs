@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (Section VII). Each figure has one function here returning
-//! typed rows; the `src/bin/*` binaries print them, and the Criterion
-//! benches time them at test scale.
+//! typed rows; [`artefacts`] renders them as text for `reproduce` and the
+//! `serve` daemon, and [`perf`] holds the tracked micro-benchmarks.
 //!
 //! | Entry point | Paper artefact |
 //! |---|---|

@@ -1,26 +1,16 @@
 //! Tracked engine hot-path micro-benchmarks.
 //!
-//! One canonical list of functional-engine workloads ([`engine_hot_benches`])
-//! is shared by two consumers so they can never drift apart:
+//! One canonical list of micro-benchmark workloads ([`engine_hot_benches`]):
+//! `reproduce --json` times them in-process and writes the machine-readable
+//! trajectory file `BENCH_engine.json`, so every PR records where the hot
+//! path stands (see DESIGN.md, "Performance architecture"), and the
+//! end-to-end benchmark under `benchmark/` reports five of them by name as
+//! per-layer metrics.
 //!
-//! * `benches/engine_hot.rs` wraps each workload in the vendored criterion
-//!   harness (`cargo bench -p mve-bench --bench engine_hot`), and
-//! * `reproduce --json` times the same workloads in-process and writes the
-//!   machine-readable trajectory file `BENCH_engine.json`, so every PR
-//!   records where the hot path stands (see DESIGN.md, "Performance
-//!   architecture").
-//!
-//! Methodology mirrors the vendored criterion: short warm-up, then
-//! `samples` timed batches, reporting the median per-iteration wall time.
-//! `MVE_BENCH_FAST=1` shrinks the budgets for CI smoke runs.
-//!
-//! Since PR 8 the file also carries [`run_serve_throughput`]: an open-loop
-//! daemon-capacity harness (N concurrent connections of cache-hit and
-//! cache-miss traffic against an in-process loopback server) whose req/s
-//! and latency percentiles land in `BENCH_engine.json` next to the
-//! micro-benchmarks.
+//! Methodology: short warm-up, then `samples` timed batches, reporting the
+//! median per-iteration wall time. `MVE_BENCH_FAST=1` shrinks the budgets
+//! for CI smoke runs.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mve_core::dtype::{BinOp, CmpOp};
@@ -28,17 +18,17 @@ use mve_core::engine::Engine;
 use mve_core::isa::{Opcode, StrideMode};
 use mve_core::sim::{simulate_sweep, SimConfig, TimingSim};
 use mve_core::trace::CountingSink;
+use mve_insram::array::SramArray;
+use mve_insram::bitserial::BitSerialAlu;
 use mve_insram::Scheme;
 use mve_kernels::Scale;
+use mve_memsim::Hierarchy;
 use mve_serve::cache::{Fetch, ResultCache};
-use mve_serve::client::open_loop;
-use mve_serve::protocol::scale_name;
-use mve_serve::server::{ArtefactFn, ArtefactRegistry, ServeOptions, Server};
 use mve_serve::{AdmissionController, AdmissionOptions, CostModel, Request, SimSpec};
 
 /// One named hot-path workload over a pre-built engine.
 pub struct HotBench {
-    /// Stable identifier (also the criterion bench id).
+    /// Stable identifier.
     pub name: &'static str,
     /// Elements processed per iteration (for Melem/s reporting).
     pub elems: u64,
@@ -84,7 +74,10 @@ const LANES: usize = 8192;
 /// control adds ahead of every chargeable op — plus the ISSUE-9
 /// `log_gate_disabled_add_8192` workload, `binop_add_8192` with structured
 /// logging forced off, proving the per-event log gate (one relaxed atomic
-/// load) costs nothing when logging is disabled.
+/// load) costs nothing when logging is disabled — plus the simulator
+/// substrate under the engine: bit-serial `add32`/`mul8` over the 256
+/// bit-lines of one SRAM array, and a 512-line vector access batch through
+/// the memory hierarchy.
 pub fn engine_hot_benches() -> Vec<HotBench> {
     let mut out = Vec::new();
 
@@ -443,6 +436,48 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
+    // Bit-serial ALU: a 32-bit add and an 8-bit multiply across all 256
+    // bit-lines of one array, operands stored vertically once up front.
+    for (name, bits, mask) in [
+        ("bitserial_add32_256", 32, u64::MAX),
+        ("bitserial_mul8_256", 8, 0xFF),
+    ] {
+        let mut array = SramArray::new();
+        let vals: Vec<u64> = (0..256).map(|i| (i as u64 * 0x9E37) & mask).collect();
+        let mut alu = BitSerialAlu::new(&mut array);
+        alu.write_vertical(0, bits, &vals);
+        alu.write_vertical(bits, bits, &vals);
+        out.push(HotBench {
+            name,
+            elems: 256,
+            run: Box::new(move || {
+                let mut alu = BitSerialAlu::new(&mut array);
+                let cycles = if bits == 32 {
+                    alu.add(0, 32, 64, 32)
+                } else {
+                    alu.mul(0, 8, 16, 8)
+                };
+                std::hint::black_box(cycles);
+            }),
+        });
+    }
+
+    // Memory hierarchy: one 512-line vector batch, time advancing between
+    // batches so MSHRs drain.
+    {
+        let mut h = Hierarchy::default();
+        let lines: Vec<u64> = (0..512).collect();
+        let mut t = 0;
+        out.push(HotBench {
+            name: "hierarchy_vector_batch_512",
+            elems: lines.len() as u64,
+            run: Box::new(move || {
+                t += 100_000;
+                std::hint::black_box(h.vector_access(&lines, false, t));
+            }),
+        });
+    }
+
     out
 }
 
@@ -495,136 +530,17 @@ pub fn run_engine_hot() -> Vec<HotResult> {
         .collect()
 }
 
-/// One tracked daemon-capacity measurement from [`run_serve_throughput`].
-#[derive(Debug, Clone)]
-pub struct ThroughputResult {
-    /// Scenario name (`serve_throughput_hit` / `serve_throughput_miss`).
-    pub name: &'static str,
-    /// Concurrent open-loop connections.
-    pub connections: usize,
-    /// Requests sent over the run.
-    pub requests: u64,
-    /// Typed replies per second.
-    pub req_per_s: f64,
-    /// Median request-to-reply latency, µs.
-    pub p50_us: u64,
-    /// 99th-percentile request-to-reply latency, µs.
-    pub p99_us: u64,
-    /// Requests with no typed reply — must be zero for a valid run.
-    pub lost: u64,
-}
-
-/// Connections driven by each throughput scenario.
-const THROUGHPUT_CONNECTIONS: usize = 32;
-/// Distinct artefact names in the throughput registry.
-const THROUGHPUT_NAMES: usize = 256;
-
-/// A registry of [`THROUGHPUT_NAMES`] cheap deterministic artefacts
-/// (`w0`..`w255`), each rendering a few-KiB payload so replies carry
-/// realistic weight without the render dominating the wire path.
-fn throughput_registry() -> ArtefactRegistry {
-    let mut entries: Vec<(&'static str, ArtefactFn)> = Vec::new();
-    for i in 0..THROUGHPUT_NAMES {
-        let name: &'static str = Box::leak(format!("w{i}").into_boxed_str());
-        let render: ArtefactFn = Arc::new(move |scale| {
-            format!(
-                "{name} throughput artefact at {} scale\n",
-                scale_name(scale)
-            )
-            .repeat(64)
-        });
-        entries.push((name, render));
-    }
-    ArtefactRegistry::new(entries)
-}
-
-/// Boots a loopback daemon, drives it open-loop, and tears it down.
-fn run_throughput_scenario(
-    name: &'static str,
-    cache_cap: usize,
-    duration: Duration,
-    make_request: impl Fn(usize, u64) -> Request + Sync,
-) -> ThroughputResult {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(8);
-    let server = Server::bind(
-        &ServeOptions {
-            port: 0,
-            workers,
-            cache_cap,
-            ..ServeOptions::default()
-        },
-        throughput_registry(),
-    )
-    .expect("bind loopback daemon");
-    let port = server.port();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    let report = open_loop(
-        ("127.0.0.1", port),
-        THROUGHPUT_CONNECTIONS,
-        duration,
-        make_request,
-    )
-    .expect("open-loop run");
-    handle.shutdown();
-    join.join().expect("daemon thread");
-    ThroughputResult {
-        name,
-        connections: report.connections,
-        requests: report.requests,
-        req_per_s: report.req_per_s(),
-        p50_us: report.latency.p50_us,
-        p99_us: report.latency.p99_us,
-        lost: report.lost,
-    }
-}
-
-/// Measures daemon capacity as a tracked number: an open-loop harness
-/// drives [`THROUGHPUT_CONNECTIONS`] concurrent connections of cache-hit
-/// traffic (every connection requests the same artefact — after the first
-/// render the wire path plus one cache lookup is the whole request) and
-/// cache-miss traffic (a small cache against a rotating 256-key working
-/// set, so most requests render) through an in-process loopback daemon.
-pub fn run_serve_throughput() -> Vec<ThroughputResult> {
-    let duration = if fast_mode() {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(2)
-    };
-    vec![
-        run_throughput_scenario("serve_throughput_hit", 1024, duration, |_conn, _seq| {
-            Request::Artefact {
-                name: "w0".to_owned(),
-                scale: Scale::Test,
-            }
-        }),
-        run_throughput_scenario("serve_throughput_miss", 16, duration, |conn, seq| {
-            // Each connection strides a disjoint 8-name slice of the
-            // 256-key set; cap 16 keeps the cache churning.
-            let idx = (conn * 8 + seq as usize % 8) % THROUGHPUT_NAMES;
-            Request::Artefact {
-                name: format!("w{idx}"),
-                scale: Scale::Test,
-            }
-        }),
-    ]
-}
-
 /// Renders results as the `BENCH_engine.json` trajectory document.
 ///
 /// Hand-rolled JSON (the workspace vendors no serde); the schema is frozen
 /// so successive PRs can be diffed: one object per bench with median
-/// nanoseconds per iteration and derived element throughput, plus — since
-/// `mve-engine-hot-v2` — one object per serve-throughput scenario with
-/// open-loop req/s and latency percentiles.
-pub fn to_json(results: &[HotResult], throughput: &[ThroughputResult]) -> String {
+/// nanoseconds per iteration and derived element throughput.
+/// `mve-engine-hot-v3` dropped v2's `serve_throughput` section.
+pub fn to_json(results: &[HotResult]) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"mve-engine-hot-v2\",");
+    let _ = writeln!(s, "  \"schema\": \"mve-engine-hot-v3\",");
     let _ = writeln!(s, "  \"fast_mode\": {},", fast_mode());
     s.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -634,21 +550,6 @@ pub fn to_json(results: &[HotResult], throughput: &[ThroughputResult]) -> String
             r.name, r.median_ns, r.melems_per_s
         );
         s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"serve_throughput\": [\n");
-    for (i, t) in throughput.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"connections\": {}, \"requests\": {}, \
-             \"req_per_s\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"lost\": {}}}",
-            t.name, t.connections, t.requests, t.req_per_s, t.p50_us, t.p99_us, t.lost
-        );
-        s.push_str(if i + 1 < throughput.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
     s.push_str("  ]\n}\n");
     s
@@ -678,40 +579,11 @@ mod tests {
                 melems_per_s: 4.5,
             },
         ];
-        let throughput = vec![ThroughputResult {
-            name: "serve_throughput_hit",
-            connections: 32,
-            requests: 1000,
-            req_per_s: 3333.3,
-            p50_us: 120,
-            p99_us: 900,
-            lost: 0,
-        }];
-        let json = to_json(&results, &throughput);
-        assert!(json.contains("\"schema\": \"mve-engine-hot-v2\""));
+        let json = to_json(&results);
+        assert!(json.contains("\"schema\": \"mve-engine-hot-v3\""));
         assert!(json.contains("\"name\": \"a\""));
-        assert!(json.contains("\"serve_throughput\""));
-        assert!(json.contains("\"req_per_s\": 3333.3"));
-        assert!(json.contains("\"lost\": 0"));
+        assert!(json.contains("\"median_ns_per_iter\": 3.0"));
+        assert!(!json.contains("serve_throughput"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn serve_throughput_harness_serves_and_loses_nothing() {
-        // One short hit-scenario run end-to-end (fast regardless of
-        // MVE_BENCH_FAST: the duration here is the test's own).
-        let result = run_throughput_scenario(
-            "serve_throughput_hit",
-            1024,
-            Duration::from_millis(200),
-            |_conn, _seq| Request::Artefact {
-                name: "w0".to_owned(),
-                scale: Scale::Test,
-            },
-        );
-        assert_eq!(result.connections, THROUGHPUT_CONNECTIONS);
-        assert_eq!(result.lost, 0, "{result:?}");
-        assert!(result.requests > 0 && result.req_per_s > 0.0, "{result:?}");
-        assert!(result.p50_us <= result.p99_us, "{result:?}");
     }
 }

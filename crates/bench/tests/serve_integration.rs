@@ -1,15 +1,15 @@
 //! Service-layer integration over the REAL artefact registry: boots the
 //! daemon on an ephemeral port, fires concurrent clients with overlapping
 //! request sets, and asserts (a) responses are byte-identical to direct
-//! `reproduce` output — including the committed `results-smoke/` files —
-//! and (b) the cache counters prove each unique request was computed
-//! exactly once.
+//! `reproduce` output — in-process renders and the `reproduce` binary's
+//! `--smoke --stdout` output — and (b) the cache counters prove each
+//! unique request was computed exactly once.
 //!
 //! The set under test is the cheap half of the smoke artefacts (the full
 //! 16-artefact replay runs in CI against release binaries); the sharing
 //! machinery is identical for the expensive ones.
 
-use std::path::PathBuf;
+use std::process::Command;
 
 use mve_bench::artefacts;
 use mve_core::sim::simulate;
@@ -124,22 +124,27 @@ fn concurrent_replay_is_byte_identical_and_simulates_each_unique_request_once() 
     join.join().expect("server thread");
 }
 
-/// The server's artefact bytes equal the committed smoke files — the same
-/// byte-identity CI asserts for the full 16-artefact replay.
+/// The server's artefact bytes equal what `reproduce --smoke` writes —
+/// the same byte-identity CI asserts for the full 16-artefact replay.
 #[test]
-fn served_artefacts_match_the_committed_smoke_tree() {
-    let smoke_dir: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results-smoke"]
-        .iter()
-        .collect();
+fn served_artefacts_match_the_reproduce_smoke_output() {
     let server = Server::bind(&ServeOptions::default(), artefacts::registry()).expect("bind");
     let port = server.port();
     let join = std::thread::spawn(move || server.run());
 
     let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
     for name in ["table1", "table3", "table5", "ablations"] {
-        let committed = std::fs::read_to_string(smoke_dir.join(format!("{name}.txt"))).expect(name);
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["--smoke", "--only", name, "--stdout"])
+            .output()
+            .expect("run reproduce");
+        assert!(out.status.success(), "reproduce --only {name} failed");
+        let reproduced = String::from_utf8(out.stdout).expect("utf-8 artefact");
         let served = client.artefact(name, Scale::Test).expect(name);
-        assert_eq!(served, committed, "{name} drifted from results-smoke/");
+        assert_eq!(
+            served, reproduced,
+            "{name}: served bytes differ from reproduce"
+        );
     }
     client.shutdown().expect("shutdown");
     join.join().expect("server thread");

@@ -9,9 +9,10 @@
 //!   evaluates its field expressions only after the level gate passes, so
 //!   a disabled log site costs one relaxed atomic load.
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] snapshot container that
-//!   renders to Prometheus text exposition format, plus a strict parser
-//!   for that format so tests and CI can validate live daemons without
-//!   external tooling.
+//!   renders to Prometheus text exposition format, a strict parser for
+//!   that format so tests and CI can validate live daemons without
+//!   external tooling, and the lock-free log2 latency
+//!   [`metrics::Histogram`] with its one quantile function.
 //! * [`chrome`] — a Chrome trace-event (catapult) JSON builder, so one
 //!   kernel execution or one serve request can be opened as a timeline in
 //!   `chrome://tracing` / Perfetto.

@@ -1,4 +1,5 @@
-//! Unified metrics registry and Prometheus text exposition.
+//! Unified metrics registry, Prometheus text exposition, and the log2
+//! latency [`Histogram`] whose live atomics the registry snapshots.
 //!
 //! A [`MetricsRegistry`] is a *snapshot*, not a live store: the owner of
 //! the real atomics (e.g. the serve daemon) rebuilds one per render, in a
@@ -16,6 +17,8 @@
 //! [spec]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// One scalar metric value. `stats` JSON needs to distinguish integer
 /// counters from float gauges to keep its historical byte format.
@@ -34,14 +37,122 @@ impl Scalar {
     }
 }
 
-/// A log2-bucketed histogram snapshot: `counts[i]` holds samples whose
-/// value `v` satisfies `v.max(1).ilog2() == i` (bucket 0 therefore covers
-/// `0..=1`), exactly the serve-side latency histogram layout.
-#[derive(Debug, Clone, Default)]
+/// Buckets in a [`Histogram`]: one per power of two of a `u64`.
+pub const LOG2_BUCKETS: usize = 64;
+
+/// A concurrent log2-bucketed histogram of microsecond values.
+///
+/// Bucket *i* holds values in `[2^i, 2^(i+1))`, with 0 and 1 folded into
+/// bucket 0. Recording is three relaxed atomic adds and one atomic max —
+/// cheap enough to sit on every request. Quantiles come from
+/// [`quantile_from_log2_buckets`], so any quantile is exact to within its
+/// bucket, which is the right resolution for spotting queueing collapse,
+/// not for timing kernels.
+#[derive(Debug)]
+pub struct Histogram {
+    buckets: [AtomicU64; LOG2_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Histogram {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+
+    /// Record one sample, in microseconds.
+    pub fn record(&self, value_us: u64) {
+        let idx = value_us.max(1).ilog2() as usize;
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value_us, Ordering::Relaxed);
+        self.max.fetch_max(value_us, Ordering::Relaxed);
+    }
+
+    /// Record a duration as microseconds (saturating).
+    pub fn record_duration(&self, d: Duration) {
+        self.record(d.as_micros().min(u64::MAX as u128) as u64);
+    }
+
+    /// Total samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of all recorded values, µs.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Largest recorded value, µs.
+    pub fn max_us(&self) -> u64 {
+        self.max.load(Ordering::Relaxed)
+    }
+
+    /// Raw per-bucket counts (bucket `i` holds `v.max(1).ilog2() == i`),
+    /// the layout the Prometheus exposition emits verbatim.
+    pub fn bucket_counts(&self) -> [u64; LOG2_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
+    /// Folds another histogram's samples into this one (bucket-wise add;
+    /// max takes the larger). Used to merge per-class series into one.
+    pub fn merge(&self, other: &Histogram) {
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            let n = theirs.load(Ordering::Relaxed);
+            if n != 0 {
+                mine.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
+        self.max.fetch_max(other.max_us(), Ordering::Relaxed);
+    }
+
+    /// Zeroes every bucket and aggregate. Not atomic with respect to
+    /// concurrent recorders (a racing sample may survive or vanish), which
+    /// is fine for its test/tooling uses.
+    pub fn reset(&self) {
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+
+    /// A point-in-time copy of the buckets and aggregates.
+    pub fn snapshot(&self) -> Log2Histogram {
+        Log2Histogram {
+            counts: self.bucket_counts(),
+            count: self.count(),
+            sum: self.sum(),
+            max: self.max_us(),
+        }
+    }
+}
+
+/// A [`Histogram`] snapshot: `counts[i]` holds samples whose value `v`
+/// satisfies `v.max(1).ilog2() == i` (bucket 0 therefore covers `0..=1`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Log2Histogram {
-    pub counts: Vec<u64>,
+    pub counts: [u64; LOG2_BUCKETS],
     pub count: u64,
     pub sum: u64,
+    pub max: u64,
 }
 
 impl Log2Histogram {
@@ -50,15 +161,17 @@ impl Log2Histogram {
     pub fn le_bound(i: usize) -> f64 {
         (2u128 << i) as f64
     }
+
+    /// Quantile `q` of the snapshot, clamped to the recorded max.
+    pub fn quantile(&self, q: f64) -> u64 {
+        quantile_from_log2_buckets(&self.counts, q, self.max)
+    }
 }
 
 #[derive(Debug, Clone)]
 enum Value {
     Scalar(Scalar),
-    /// Rendered as a constant `1` gauge carrying its labels (the
-    /// `*_info` idiom, e.g. `mve_serve_info{poller="epoll"} 1`).
-    Info,
-    Histogram(Log2Histogram),
+    Histogram(Box<Log2Histogram>),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,44 +277,19 @@ impl MetricsRegistry {
         self.family_mut(name, help, Kind::Gauge)
             .samples
             .push(MetricSample {
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
+                labels: owned_labels(labels),
                 value: Value::Scalar(Scalar::F64(value)),
             });
     }
 
-    /// Registers an `*_info`-style constant gauge whose payload is its
-    /// labels.
-    pub fn info(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) {
-        self.family_mut(name, help, Kind::Gauge)
-            .samples
-            .push(MetricSample {
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                value: Value::Info,
-            });
-    }
-
-    /// Registers one labeled histogram sample under family `name`.
-    pub fn histogram(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        snap: Log2Histogram,
-    ) {
+    /// Registers one labeled histogram sample under family `name`: a
+    /// snapshot of `h` taken now.
+    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
         self.family_mut(name, help, Kind::Histogram)
             .samples
             .push(MetricSample {
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                value: Value::Histogram(snap),
+                labels: owned_labels(labels),
+                value: Value::Histogram(Box::new(h.snapshot())),
             });
     }
 
@@ -219,18 +307,6 @@ impl MetricsRegistry {
     /// Looks up an unlabeled scalar by short name.
     pub fn scalar(&self, name: &str) -> Option<Scalar> {
         self.scalars().find(|(n, _)| *n == name).map(|(_, v)| v)
-    }
-
-    /// Returns the label value of an info metric, e.g.
-    /// `label_of("info", "poller")`.
-    pub fn label_of(&self, name: &str, key: &str) -> Option<&str> {
-        let fam = self.families.iter().find(|f| f.name == name)?;
-        fam.samples.iter().find_map(|s| {
-            s.labels
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        })
     }
 
     /// Renders the registry in Prometheus text exposition format, with
@@ -252,9 +328,6 @@ impl MetricsRegistry {
                             fmt_value(v.as_f64())
                         );
                     }
-                    Value::Info => {
-                        let _ = writeln!(out, "{full}{} 1", render_labels(&sample.labels));
-                    }
                     Value::Histogram(snap) => {
                         render_histogram(&mut out, &full, &sample.labels, snap)
                     }
@@ -263,6 +336,13 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
 }
 
 fn render_histogram(
@@ -623,25 +703,26 @@ fn validate_histograms(exp: &Exposition) -> Result<(), String> {
     Ok(())
 }
 
-/// Approximate quantile (`0.0..=1.0`) from raw log2 bucket counts, using
-/// the geometric bucket midpoint — the client-side (`stats --watch`)
-/// counterpart of the daemon's histogram percentiles.
-pub fn quantile_from_log2_buckets(counts: &[u64], q: f64) -> f64 {
+/// Approximate quantile (`0.0..=1.0`) from raw log2 bucket counts. The
+/// bucket `i` holding rank ⌈q·n⌉ reports its midpoint `1.5·2^i`, clamped
+/// to `max` (the largest recorded value; pass `u64::MAX` when it is not
+/// known). The daemon's `stats` percentiles and the client-side
+/// `stats --watch` p99 both come from here.
+pub fn quantile_from_log2_buckets(counts: &[u64], q: f64, max: u64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
-        return 0.0;
+        return 0;
     }
     let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
+    for (i, &n) in counts.iter().enumerate() {
+        seen += n;
         if seen >= rank {
-            let lo = if i == 0 { 1.0 } else { (1u128 << i) as f64 };
-            let hi = (2u128 << i) as f64;
-            return (lo * hi).sqrt();
+            let lo = 1u64 << i;
+            return lo.saturating_add(lo / 2).min(max.max(1));
         }
     }
-    0.0
+    max
 }
 
 #[cfg(test)]
@@ -653,19 +734,15 @@ mod tests {
         reg.counter("requests", "Total requests received.", 42);
         reg.counter("hits", "Cache hits.", 17);
         reg.gauge_f("hit_rate", "Hits over lookups.", 0.25);
-        reg.info("info", "Daemon build/runtime info.", &[("poller", "epoll")]);
-        let mut counts = vec![0u64; 64];
-        counts[0] = 2; // two samples <= 1us
-        counts[5] = 1; // one in [32,64)
+        let h = Histogram::new();
+        h.record(0); // two samples <= 1us
+        h.record(1);
+        h.record(49); // one in [32,64)
         reg.histogram(
             "request_service_us",
             "Service time per op class.",
             &[("class", "artefact")],
-            Log2Histogram {
-                counts,
-                count: 3,
-                sum: 50,
-            },
+            &h,
         );
         reg
     }
@@ -678,10 +755,6 @@ mod tests {
         assert_eq!(exp.family_type("mve_serve_requests"), Some("counter"));
         assert_eq!(exp.value("mve_serve_requests", &[]), Some(42.0));
         assert_eq!(exp.value("mve_serve_hit_rate", &[]), Some(0.25));
-        assert_eq!(
-            exp.value("mve_serve_info", &[("poller", "epoll")]),
-            Some(1.0)
-        );
         // Histogram: cumulative buckets, +Inf == count, sum/count present.
         assert_eq!(
             exp.value(
@@ -723,7 +796,6 @@ mod tests {
         let names: Vec<&str> = reg.scalars().map(|(n, _)| n).collect();
         assert_eq!(names, ["requests", "hits", "hit_rate"]);
         assert_eq!(reg.scalar("hits"), Some(Scalar::U64(17)));
-        assert_eq!(reg.label_of("info", "poller"), Some("epoll"));
     }
 
     #[test]
@@ -751,55 +823,176 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_from_buckets() {
-        let mut counts = vec![0u64; 64];
-        assert_eq!(quantile_from_log2_buckets(&counts, 0.99), 0.0);
-        counts[3] = 100; // all samples in [8,16)
-        let p99 = quantile_from_log2_buckets(&counts, 0.99);
-        assert!(p99 > 8.0 && p99 < 16.0, "p99={p99}");
+    fn empty_histogram_snapshots_to_zeros() {
+        let s = Histogram::new().snapshot();
+        assert_eq!((s.count, s.sum, s.max), (0, 0, 0));
+        assert_eq!(s.quantile(0.5), 0);
+        assert_eq!(s.quantile(0.99), 0);
+        assert_eq!(
+            quantile_from_log2_buckets(&[0; LOG2_BUCKETS], 0.99, u64::MAX),
+            0
+        );
     }
 
     #[test]
-    fn quantile_single_occupied_bucket_is_its_geometric_midpoint() {
-        let mut counts = vec![0u64; 64];
-        counts[5] = 9; // every sample in (32, 64]
-        let mid = (32.0f64 * 64.0).sqrt();
+    fn percentiles_are_bucket_accurate_and_ordered() {
+        let h = Histogram::new();
+        // 90 fast samples at ~10µs, 9 at ~1ms, 1 at 100ms.
+        for _ in 0..90 {
+            h.record(10);
+        }
+        for _ in 0..9 {
+            h.record(1000);
+        }
+        h.record(100_000);
+        let s = h.snapshot();
+        assert_eq!(s.count, 100);
+        assert_eq!(s.sum, 90 * 10 + 9 * 1000 + 100_000);
+        assert_eq!(s.max, 100_000);
+        let (p50, p90, p99) = (s.quantile(0.50), s.quantile(0.90), s.quantile(0.99));
+        // p50 lands in the [8,16) bucket, p99 in the [512,1024) bucket.
+        assert_eq!(p50, 12);
+        assert!(p50 <= p90 && p90 <= p99, "p50={p50} p90={p90} p99={p99}");
+        assert_eq!(p99, 768);
+    }
+
+    #[test]
+    fn zero_and_one_fold_into_the_first_bucket() {
+        let h = Histogram::new();
+        h.record(0);
+        h.record(1);
+        let s = h.snapshot();
+        assert_eq!(s.count, 2);
+        assert_eq!(s.max, 1);
+        assert_eq!(s.counts[0], 2);
+        // Bucket 0 reports 1 (its midpoint rounds down to the max).
+        assert_eq!(s.quantile(0.99), 1);
+    }
+
+    #[test]
+    fn single_sample_reports_itself_at_every_percentile() {
+        let h = Histogram::new();
+        h.record(777);
+        let s = h.snapshot();
+        assert_eq!(s.count, 1);
+        assert_eq!(s.quantile(0.5), s.quantile(0.99));
+        // Bucket [512,1024): midpoint 768 <= max 777.
+        assert_eq!(s.quantile(0.99), 768);
+        assert_eq!(s.max, 777);
+    }
+
+    #[test]
+    fn single_occupied_bucket_reports_one_value_for_every_quantile() {
+        // All samples in one bucket: every quantile collapses to the
+        // bucket's midpoint 1.5·2^i, clamped to the recorded max when the
+        // max sits below it; without a max nothing clamps.
+        let clamped = Histogram::new();
+        for _ in 0..5 {
+            clamped.record(40); // bucket [32,64), midpoint 48 > max 40
+        }
+        let unclamped = Histogram::new();
+        for _ in 0..5 {
+            unclamped.record(60); // same bucket, midpoint 48 < max 60
+        }
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(quantile_from_log2_buckets(&counts, q), mid, "q={q}");
+            assert_eq!(clamped.snapshot().quantile(q), 40, "q={q}");
+            assert_eq!(unclamped.snapshot().quantile(q), 48, "q={q}");
+            let counts = clamped.bucket_counts();
+            assert_eq!(quantile_from_log2_buckets(&counts, q, u64::MAX), 48);
         }
     }
 
     #[test]
-    fn quantile_all_mass_in_last_bucket_stays_finite() {
-        // Bucket 63's upper edge is 2^64: the u128 shift must not wrap,
-        // and the interpolated value stays between the edges.
-        let mut counts = vec![0u64; 64];
-        counts[63] = 3;
-        let v = quantile_from_log2_buckets(&counts, 0.99);
-        assert!(v.is_finite(), "v={v}");
-        assert!(v >= (1u128 << 63) as f64 && v <= (2u128 << 63) as f64);
+    fn top_bucket_saturates_and_clamps_to_the_recorded_max() {
+        // ilog2 == 63: huge samples land in (and stay in) the top bucket.
+        let h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(1u64 << 63);
+        let s = h.snapshot();
+        assert_eq!(s.count, 2);
+        assert_eq!(s.max, u64::MAX);
+        assert_eq!(s.counts[63], 2);
+        assert_eq!(s.counts.iter().sum::<u64>(), 2);
+        // The midpoint 2^63 + 2^62 fits a u64: no wrap to a tiny value.
+        let mid = (1u64 << 63) + (1u64 << 62);
+        assert_eq!(s.quantile(0.99), mid);
+        assert_eq!(quantile_from_log2_buckets(&s.counts, 0.99, u64::MAX), mid);
+
+        // With every recorded value below the midpoint, the clamp — not
+        // the midpoint — is reported.
+        let low = Histogram::new();
+        for _ in 0..10 {
+            low.record(1u64 << 63);
+        }
+        let s = low.snapshot();
+        assert_eq!(s.quantile(0.5), 1u64 << 63);
+        assert_eq!(s.quantile(0.99), 1u64 << 63);
+        assert_eq!(s.max, 1u64 << 63);
     }
 
     #[test]
-    fn quantile_over_merged_buckets_matches_the_union() {
+    fn merge_then_quantile_matches_one_histogram_with_all_samples() {
         // Bucket-wise addition is exactly how per-class histograms merge
-        // into one series; quantiles over the sum must equal quantiles
-        // over the union of samples.
-        let mut a = vec![0u64; 64];
-        a[2] = 5;
-        a[8] = 1;
-        let mut b = vec![0u64; 64];
-        b[2] = 2;
-        b[4] = 7;
-        let merged: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        // 15 samples: rank 8 lands in bucket 4, rank 15 in bucket 8.
-        assert_eq!(
-            quantile_from_log2_buckets(&merged, 0.5),
-            (16.0f64 * 32.0).sqrt()
-        );
-        assert_eq!(
-            quantile_from_log2_buckets(&merged, 0.99),
-            (256.0f64 * 512.0).sqrt()
-        );
+        // into one series; every snapshot field — and so every quantile —
+        // over the merge equals the single histogram of the union.
+        let inputs: [(&[u64], &[u64]); 2] = [
+            (&[3, 10, 100, 5000], &[7, 70, 700, 70_000, 1_000_000]),
+            (&[4, 4, 4, 4, 4, 300], &[5, 5, 16, 16, 16, 16, 16, 16, 16]),
+        ];
+        for (xs, ys) in inputs {
+            let (a, b, all) = (Histogram::new(), Histogram::new(), Histogram::new());
+            for &v in xs {
+                a.record(v);
+                all.record(v);
+            }
+            for &v in ys {
+                b.record(v);
+                all.record(v);
+            }
+            a.merge(&b);
+            assert_eq!(a.snapshot(), all.snapshot());
+            for q in [0.5, 0.9, 0.99] {
+                assert_eq!(a.snapshot().quantile(q), all.snapshot().quantile(q));
+            }
+        }
+        // The second input: 15 samples, rank 8 lands in bucket 4 and rank
+        // 15 in bucket 8.
+        let merged = Histogram::new();
+        for v in [4, 4, 4, 4, 4, 300, 5, 5, 16, 16, 16, 16, 16, 16, 16] {
+            merged.record(v);
+        }
+        let counts = merged.bucket_counts();
+        assert_eq!(quantile_from_log2_buckets(&counts, 0.5, u64::MAX), 24);
+        assert_eq!(quantile_from_log2_buckets(&counts, 0.99, u64::MAX), 384);
+    }
+
+    #[test]
+    fn merge_folds_buckets_count_sum_and_max() {
+        let a = Histogram::new();
+        let b = Histogram::new();
+        a.record(10);
+        a.record(20);
+        b.record(1000);
+        a.merge(&b);
+        assert_eq!(a.count(), 3);
+        assert_eq!(a.sum(), 1030);
+        assert_eq!(a.max_us(), 1000);
+        assert_eq!(a.snapshot().quantile(0.99), 768);
+        // Merging an empty histogram is a no-op.
+        a.merge(&Histogram::new());
+        assert_eq!(a.count(), 3);
+    }
+
+    #[test]
+    fn reset_returns_to_empty() {
+        let h = Histogram::new();
+        h.record(42);
+        h.record(7);
+        assert_eq!(h.count(), 2);
+        h.reset();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0);
+        assert_eq!(h.max_us(), 0);
+        assert_eq!(h.snapshot(), Histogram::new().snapshot());
     }
 }

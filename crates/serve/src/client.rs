@@ -1,8 +1,8 @@
 //! The client side of the wire protocol: a blocking connection (with an
 //! optional request deadline and overload-aware capped exponential
 //! backoff), the smoke-set replay driver used by `mve-client` and CI, and
-//! the open-loop throughput driver shared by `mve-client --flood
-//! --duration-ms` and the `serve_throughput` perf harness.
+//! the open-loop throughput driver behind `mve-client --connections N
+//! --duration-ms M`.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use mve_kernels::Scale;
 
-use crate::histogram::{Histogram, HistogramStats};
+use crate::histogram::HistogramStats;
 use crate::json::Json;
 use crate::protocol::{encode_request, parse_overloaded, parse_response, Request, SimSpec};
 
@@ -417,7 +417,7 @@ pub fn open_loop(
     let overloaded = AtomicU64::new(0);
     let server_errors = AtomicU64::new(0);
     let lost = AtomicU64::new(0);
-    let latency = Histogram::new();
+    let latency = mve_obs::metrics::Histogram::new();
     let make_request = &make_request;
     let started = Instant::now();
     let deadline = started + duration;
@@ -469,6 +469,6 @@ pub fn open_loop(
         overloaded: overloaded.into_inner(),
         server_errors: server_errors.into_inner(),
         lost: lost.into_inner(),
-        latency: latency.snapshot(),
+        latency: HistogramStats::of(&latency.snapshot()),
     })
 }

@@ -1,163 +1,15 @@
-//! Lock-free log2-bucketed latency histograms for the service layer.
+//! Per-op-class latency histograms for the service layer.
 //!
-//! [`Histogram`] spreads microsecond samples over 64 power-of-two buckets
-//! (bucket *i* holds values in `[2^i, 2^(i+1))`, with 0 and 1 µs folded
-//! into bucket 0). Recording is three relaxed atomic adds and one atomic
-//! max — cheap enough to sit on every request — and percentile extraction
-//! walks the cumulative bucket counts, reporting each bucket by its
-//! geometric midpoint clamped to the true maximum. The scheme trades
-//! precision for a fixed 640-byte footprint: any quantile is exact to
-//! within its bucket (a factor of √2 around the midpoint), which is the
-//! right resolution for spotting queueing collapse, not for timing
-//! kernels (the criterion-style harness in `mve-bench` does that).
-//!
+//! The histogram itself is [`mve_obs::metrics::Histogram`];
+//! [`HistogramStats`] is its JSON view in the `stats` reply, and
 //! [`LatencyMetrics`] groups two histograms (service time and queue wait)
-//! per op class and serializes them into the `stats` reply.
+//! per op class.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use mve_obs::metrics::{Histogram, Log2Histogram};
+
 use crate::json::Json;
-
-const BUCKETS: usize = 64;
-
-/// A concurrent log2-bucketed histogram of microsecond values.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one sample, in microseconds.
-    pub fn record(&self, value_us: u64) {
-        let idx = value_us.max(1).ilog2() as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value_us, Ordering::Relaxed);
-        self.max.fetch_max(value_us, Ordering::Relaxed);
-    }
-
-    /// Record a duration as microseconds (saturating).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded values, µs.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest recorded value, µs.
-    pub fn max_us(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Raw per-bucket counts (bucket `i` holds `v.max(1).ilog2() == i`),
-    /// the layout the Prometheus exposition emits verbatim.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Folds another histogram's samples into this one (bucket-wise add;
-    /// max takes the larger). Used to merge per-class series into one.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Zeroes every bucket and aggregate. Not atomic with respect to
-    /// concurrent recorders (a racing sample may survive or vanish), which
-    /// is fine for its test/tooling uses.
-    pub fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
-    /// Extract count, mean, percentiles, and max.
-    pub fn snapshot(&self) -> HistogramStats {
-        let mut buckets = [0u64; BUCKETS];
-        for (slot, bucket) in buckets.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        // Concurrent recorders can make `count` and the bucket sum differ
-        // transiently; rank against the bucket sum we actually walk.
-        let count: u64 = buckets.iter().sum();
-        let sum = self.sum.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
-        HistogramStats {
-            count,
-            mean_us: if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            },
-            p50_us: percentile(&buckets, count, max, 0.50),
-            p90_us: percentile(&buckets, count, max, 0.90),
-            p99_us: percentile(&buckets, count, max, 0.99),
-            max_us: max,
-        }
-    }
-}
-
-/// The value reported for bucket `idx`: its geometric midpoint, clamped
-/// to the largest value actually recorded.
-fn bucket_value(idx: usize, max: u64) -> u64 {
-    let lo = 1u64 << idx;
-    lo.saturating_add(lo / 2).min(max.max(1))
-}
-
-fn percentile(buckets: &[u64; BUCKETS], count: u64, max: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for (idx, &n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return bucket_value(idx, max);
-        }
-    }
-    max
-}
 
 /// One histogram snapshot: sample count, mean, p50/p90/p99, max, all µs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,6 +29,25 @@ pub struct HistogramStats {
 }
 
 impl HistogramStats {
+    /// Count, mean, percentiles and max of a snapshot.
+    pub fn of(snap: &Log2Histogram) -> HistogramStats {
+        // Concurrent recorders can make `count` and the bucket sum differ
+        // transiently; rank against the bucket sum the quantiles walk.
+        let count: u64 = snap.counts.iter().sum();
+        HistogramStats {
+            count,
+            mean_us: if count == 0 {
+                0.0
+            } else {
+                snap.sum as f64 / count as f64
+            },
+            p50_us: snap.quantile(0.50),
+            p90_us: snap.quantile(0.90),
+            p99_us: snap.quantile(0.99),
+            max_us: snap.max,
+        }
+    }
+
     /// Serialize for the `stats` reply.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -329,8 +200,14 @@ impl LatencyMetrics {
                     (
                         class.name().to_string(),
                         Json::Obj(vec![
-                            ("service".into(), slot.service.snapshot().to_json()),
-                            ("queue_wait".into(), slot.queue_wait.snapshot().to_json()),
+                            (
+                                "service".into(),
+                                HistogramStats::of(&slot.service.snapshot()).to_json(),
+                            ),
+                            (
+                                "queue_wait".into(),
+                                HistogramStats::of(&slot.queue_wait.snapshot()).to_json(),
+                            ),
                         ]),
                     )
                 })
@@ -342,166 +219,7 @@ impl LatencyMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_histogram_snapshots_to_zeros() {
-        let s = Histogram::new().snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_us, 0.0);
-        assert_eq!(s.p50_us, 0);
-        assert_eq!(s.p99_us, 0);
-        assert_eq!(s.max_us, 0);
-    }
-
-    #[test]
-    fn percentiles_are_bucket_accurate_and_ordered() {
-        let h = Histogram::new();
-        // 90 fast samples at ~10µs, 9 at ~1ms, 1 at 100ms.
-        for _ in 0..90 {
-            h.record(10);
-        }
-        for _ in 0..9 {
-            h.record(1000);
-        }
-        h.record(100_000);
-        let s = h.snapshot();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.max_us, 100_000);
-        // p50 lands in the [8,16) bucket, p99 in the [512,1024)+ region.
-        assert!((8..16).contains(&s.p50_us), "p50={}", s.p50_us);
-        assert!(s.p90_us <= s.p99_us, "p90={} p99={}", s.p90_us, s.p99_us);
-        assert!(s.p50_us <= s.p90_us);
-        assert!((512..2048).contains(&s.p99_us), "p99={}", s.p99_us);
-        assert!(s.p99_us <= s.max_us);
-        let expected_mean = (90.0 * 10.0 + 9.0 * 1000.0 + 100_000.0) / 100.0;
-        assert!((s.mean_us - expected_mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_and_one_fold_into_the_first_bucket() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.max_us, 1);
-        // Bucket midpoint clamps to the true max.
-        assert_eq!(s.p99_us, 1);
-    }
-
-    #[test]
-    fn single_sample_reports_itself_at_every_percentile() {
-        let h = Histogram::new();
-        h.record(777);
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.p50_us, s.p99_us);
-        assert!(s.p99_us <= 777 && s.p99_us >= 512, "p99={}", s.p99_us);
-        assert_eq!(s.max_us, 777);
-    }
-
-    #[test]
-    fn saturating_top_bucket_holds_huge_samples() {
-        let h = Histogram::new();
-        h.record(u64::MAX); // ilog2 == 63: lands in (and stays in) the top bucket
-        h.record(1u64 << 63);
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.max_us, u64::MAX);
-        // Midpoint of the top bucket saturates instead of wrapping: it
-        // reports inside [2^63, max], never a wrapped-around tiny value.
-        assert!(s.p99_us >= 1u64 << 63, "p99={}", s.p99_us);
-        assert!(s.p99_us <= s.max_us);
-        let counts = h.bucket_counts();
-        assert_eq!(counts[63], 2);
-        assert_eq!(counts.iter().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn single_occupied_bucket_reports_one_value_for_every_quantile() {
-        // All samples in one bucket: p50/p90/p99 collapse to the bucket's
-        // geometric midpoint, clamped to the recorded max when the max
-        // sits below it.
-        let clamped = Histogram::new();
-        for _ in 0..5 {
-            clamped.record(40); // bucket [32,64), midpoint 48 > max 40
-        }
-        let s = clamped.snapshot();
-        assert_eq!((s.p50_us, s.p90_us, s.p99_us, s.max_us), (40, 40, 40, 40));
-
-        let unclamped = Histogram::new();
-        for _ in 0..5 {
-            unclamped.record(60); // same bucket, midpoint 48 < max 60
-        }
-        let s = unclamped.snapshot();
-        assert_eq!((s.p50_us, s.p90_us, s.p99_us, s.max_us), (48, 48, 48, 60));
-    }
-
-    #[test]
-    fn all_mass_in_the_top_bucket_clamps_to_the_recorded_max() {
-        // The top bucket's midpoint (2^63 + 2^62) exceeds every value
-        // recorded here, so the clamp — not the midpoint — is reported.
-        let h = Histogram::new();
-        for _ in 0..10 {
-            h.record(1u64 << 63);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.p50_us, 1u64 << 63);
-        assert_eq!(s.p99_us, 1u64 << 63);
-        assert_eq!(s.max_us, 1u64 << 63);
-    }
-
-    #[test]
-    fn merge_then_quantile_matches_one_histogram_with_all_samples() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let all = Histogram::new();
-        for v in [3, 10, 100, 5000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [7, 70, 700, 70_000, 1_000_000] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        // count and sum fold exactly, so every snapshot field — mean
-        // included — is identical to the single-histogram run.
-        assert_eq!(a.snapshot(), all.snapshot());
-    }
-
-    #[test]
-    fn merge_folds_buckets_count_sum_and_max() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        a.record(20);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 1030);
-        assert_eq!(a.max_us(), 1000);
-        let s = a.snapshot();
-        assert_eq!(s.count, 3);
-        assert!((512..=1000).contains(&s.p99_us), "p99={}", s.p99_us);
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::new());
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    fn reset_returns_to_empty() {
-        let h = Histogram::new();
-        h.record(42);
-        h.record(7);
-        assert_eq!(h.count(), 2);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.max_us(), 0);
-        let s = h.snapshot();
-        assert_eq!(s, Histogram::new().snapshot());
-    }
+    use mve_obs::metrics::quantile_from_log2_buckets;
 
     #[test]
     fn mean_service_feedback_per_class() {
@@ -531,5 +249,64 @@ mod tests {
         assert_eq!(service.get("count").and_then(Json::as_u64), Some(1));
         let wait = artefact.get("queue_wait").expect("queue_wait histogram");
         assert_eq!(wait.get("count").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn stats_latency_json_is_pinned_for_a_fixed_sample_set() {
+        // The bytes the `stats` reply's `latency` object carried before
+        // the histogram moved into mve-obs, for the same samples.
+        let m = LatencyMetrics::new();
+        let us = Duration::from_micros;
+        for v in [0, 1, 10, 10, 10, 250, 777, 1000, 5000, 100_000] {
+            m.record_service(MetricClass::Artefact, us(v));
+        }
+        for v in [0, 3, 40] {
+            m.record_queue_wait(MetricClass::Artefact, us(v));
+        }
+        for v in [40, 40, 40, 60, 60] {
+            m.record_service(MetricClass::Sim, us(v));
+        }
+        m.record_service(MetricClass::Profile, us(1u64 << 63));
+        let expected = concat!(
+            r#"{"artefact":{"service":{"count":10,"mean_us":10705.8,"p50_us":12,"p90_us":6144,"p99_us":98304,"max_us":100000},"queue_wait":{"count":3,"mean_us":14.333333333333334,"p50_us":3,"p90_us":40,"p99_us":40,"max_us":40}},"#,
+            r#""sim":{"service":{"count":5,"mean_us":48,"p50_us":48,"p90_us":48,"p99_us":48,"max_us":60},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}},"#,
+            r#""compile":{"service":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}},"#,
+            r#""estimate":{"service":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}},"#,
+            r#""stats":{"service":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}},"#,
+            r#""metrics":{"service":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}},"#,
+            r#""trace":{"service":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}},"#,
+            r#""profile":{"service":{"count":1,"mean_us":9223372036854776000,"p50_us":9223372036854775808,"p90_us":9223372036854775808,"p99_us":9223372036854775808,"max_us":9223372036854775808},"queue_wait":{"count":0,"mean_us":0,"p50_us":0,"p90_us":0,"p99_us":0,"max_us":0}}}"#,
+        );
+        assert_eq!(m.to_json().encode(), expected);
+    }
+
+    #[test]
+    fn watch_and_stats_quantiles_agree_on_the_same_buckets() {
+        // `mve-client stats --watch` sees only the exposition's buckets,
+        // so it computes without a max; the `stats` reply clamps to the
+        // recorded max. On the same buckets the two differ only by that
+        // clamp.
+        let samples: [&[u64]; 4] = [
+            &[10, 10, 10, 250, 777, 1000, 5000, 100_000],
+            &[40, 40, 40, 60, 60],
+            &[0, 1],
+            &[3, 3, 3, 3, 900, 1 << 40],
+        ];
+        for set in samples {
+            let h = Histogram::new();
+            for &v in set {
+                h.record(v);
+            }
+            let snap = h.snapshot();
+            let stats = HistogramStats::of(&snap);
+            for (q, from_stats) in [
+                (0.50, stats.p50_us),
+                (0.90, stats.p90_us),
+                (0.99, stats.p99_us),
+            ] {
+                let watch = quantile_from_log2_buckets(&h.bucket_counts(), q, u64::MAX);
+                assert_eq!(from_stats, watch.min(snap.max.max(1)), "{set:?} q={q}");
+            }
+        }
     }
 }

@@ -28,13 +28,13 @@
 //!   shed with typed `overloaded` replies carrying `retry_after_ms`.
 //! * [`fault`] — test-only fault injection (worker panics, stalls,
 //!   reservation abandonment) behind an inert-by-default [`fault::FaultPlan`].
-//! * [`poller`] — raw-fd readiness polling (epoll on Linux, portable
-//!   `poll(2)` fallback) plus the self-pipe wake mechanism, all via direct
-//!   FFI in the workspace's std-only style.
+//! * [`poller`] — raw-fd readiness polling over `poll(2)` plus the
+//!   self-pipe wake mechanism, all via direct FFI in the workspace's
+//!   std-only style.
 //! * [`timer`] — a hashed timer wheel absorbing the idle reaper, the
 //!   admission parking deadline, and write-stall detection.
-//! * [`histogram`] — lock-free log2-bucketed latency histograms with
-//!   p50/p90/p99 extraction, grouped per op class.
+//! * [`histogram`] — per-op-class latency histograms (the log2 histogram
+//!   itself lives in `mve_obs::metrics`) and their p50/p90/p99 JSON view.
 //! * [`trace`] — per-request lifecycle traces (monotonic ids, phase
 //!   timestamps received → parsed → admitted → dispatched → executed →
 //!   flushed) retained in a bounded ring the `trace` op snapshots.
@@ -44,8 +44,7 @@
 //!   requests, counters, graceful shutdown.
 //! * [`client`] — the blocking client (with request deadline and
 //!   overload-aware capped backoff), the smoke-set replay driver, and the
-//!   open-loop throughput driver shared by `mve-client --flood` and the
-//!   perf harness.
+//!   open-loop throughput driver behind `mve-client --flood`.
 //!
 //! The `serve` and `mve-client` binaries live in `mve-bench`, which owns
 //! the artefact render functions and injects them via
@@ -72,9 +71,8 @@ pub use cache::{CacheStats, ResultCache};
 pub use client::{open_loop, Client, ClientError, OpenLoopReport};
 pub use cost::CostModel;
 pub use fault::FaultPlan;
-pub use histogram::{Histogram, HistogramStats};
+pub use histogram::HistogramStats;
 pub use json::Json;
-pub use poller::PollerBackend;
 pub use protocol::{Request, SimSpec};
 pub use server::{ArtefactFn, ArtefactRegistry, ServeOptions, Server, ShutdownHandle};
 pub use trace::{RequestTrace, TraceRing};
